@@ -311,6 +311,13 @@ type machine struct {
 	CPUShare   float64 `json:"rt_cpu_share"`
 	StealTicks uint64  `json:"steal_ticks"`
 	StealFrac  float64 `json:"steal_frac"`
+	// The open loop's latency samples and its validity: windows that
+	// fell behind the offered rate, items due but unsent at the end, and
+	// how late the driver dispatched (99th percentile).
+	OpenSamples   int     `json:"open_samples"`
+	OpenUnstable  int     `json:"open_unstable_windows"`
+	OpenBacklog   int     `json:"open_backlog_end"`
+	OpenLateP99us float64 `json:"open_late_us_p99"`
 }
 
 func cpuModel() string {
@@ -337,11 +344,6 @@ func sortedNanos(v []time.Duration) []int64 {
 
 // describe renders a one-line summary of an open-loop phase.
 func (r openResult) describe() string {
-	ws, all := r.stable()
-	flag := ""
-	if all {
-		flag = "; BACKLOG GREW IN EVERY WINDOW, latency is not valid"
-	}
-	return fmt.Sprintf("open loop @ %.0f/s: %d samples in %d windows (%d kept up), p50 %.1fµs, p99 %.1fµs, driver late p99 %.1fµs, backlog at end %d%s",
-		r.rate, r.samples, len(r.windows), len(ws), r.p50(), r.p99, r.lateP99, r.due-r.sent, flag)
+	return fmt.Sprintf("open loop @ %.0f/s: %d samples in %d windows (%d fell behind), p50 %.1fµs, p99 %.1fµs, driver late p99 %.1fµs, backlog at end %d",
+		r.rate, r.samples, len(r.windows), r.unstable(), r.p50(), r.p99, r.lateP99, r.backlog())
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"sort"
 	"time"
@@ -55,6 +57,63 @@ func (f *jobFeeder) wait() bool {
 	return f.t.Err() == nil
 }
 
+// auditor checks what the serving layers report having done against
+// what the driver sent. A plan panic poisons its session and leaves the
+// panicked shard's results empty without any error from RunPackets, and
+// the shared machine's fan-out drops its subscribers' errors, so the
+// driver cannot see such failures in the calls' return values.
+type auditor struct {
+	sched  *pisa.Scheduler
+	kind   kind
+	served []*serve.Model
+	prev   []pisa.EngineStats
+}
+
+func newAuditor(d *deployment, k kind) *auditor {
+	return &auditor{sched: d.srv.Scheduler(), kind: k, served: d.served}
+}
+
+// mark starts a new audited interval.
+func (a *auditor) mark() { a.prev = a.sched.Stats() }
+
+// failed returns how many of the n items sent since the last mark serve
+// did not fully serve, and starts the next interval. While any served
+// model's session is poisoned, all n failed. Otherwise the shortfall is
+// the items the sessions did not process (shed ones included) plus, on
+// a shared machine, the fired windows a subscriber did not classify.
+// A poisoned shared machine session is not visible through serve; its
+// effect on verdicts shows only in the verdict gate.
+func (a *auditor) failed(n int) int {
+	cur := a.sched.Stats()
+	t := rolesOf(a.kind, a.prev, cur)
+	a.prev = cur
+	for _, m := range a.served {
+		if poisoned(m) {
+			return n
+		}
+	}
+	done := t.all.Packets
+	if a.kind == kindShared {
+		done = t.ext.Packets
+	}
+	short := max(0, n-int(done))
+	if a.kind == kindShared {
+		short += max(0, int(t.ext.Fires)*len(a.served)-int(t.cls.Packets))
+	}
+	return min(n, short)
+}
+
+// poisoned probes m's live session with an empty submission: serve
+// rejects submissions to a session a plan panic has poisoned.
+func poisoned(m *serve.Model) bool {
+	t, err := m.SubmitCtx(context.Background(), nil)
+	if err != nil {
+		return true
+	}
+	t.Wait()
+	return t.Err() != nil
+}
+
 // chunk is one closed-loop measurement interval.
 type chunk struct {
 	items  int           // packets or jobs served
@@ -66,12 +125,10 @@ type chunk struct {
 	steal  stealSample
 }
 
-// pps is the chunk's served rate per second of wall time that the
-// generator did not use and the host did not steal. Steal is the share
-// of the VM's CPU time the hypervisor gave to other guests; on a shared
-// host it moves from run to run and would otherwise set the spread.
+// pps is the chunk's served rate per second of wall time the generator
+// did not use.
 func (c chunk) pps() float64 {
-	return float64(c.items) / ((c.wall - c.fill).Seconds() * (1 - c.steal.frac()))
+	return float64(c.items) / (c.wall - c.fill).Seconds()
 }
 
 // cpuPerItem is the chunk's process CPU per item with the generator's
@@ -141,9 +198,9 @@ type openWindow struct {
 // one call; between calls it spins (yielding its processor) until the
 // next item is due, so it occupies one of GOMAXPROCS while it waits.
 // The phase is split into nwin windows by due time. A window that ends
-// with more than max(maxBatch, 20 ms of arrivals) still unsent fell
-// behind the offered rate: it is flagged unstable and its latencies are
-// left out of the reported medians.
+// with more than 20 ms of arrivals still unsent fell behind the offered
+// rate: it is flagged unstable and its latencies are left out of the
+// reported medians.
 func openLoop(f feeder, rate float64, maxBatch int, dur time.Duration, nwin int) openResult {
 	period := float64(time.Second) / rate
 	total := int(dur.Seconds() * rate)
@@ -186,7 +243,7 @@ func openLoop(f feeder, rate float64, maxBatch int, dur time.Duration, nwin int)
 	for len(backlogs) < nwin {
 		backlogs = append(backlogs, res.due-res.sent)
 	}
-	limit := max(maxBatch, int(rate*0.020))
+	limit := max(1, int(rate*0.020))
 	// Window w holds the items due in [w, w+1)·dur/nwin.
 	lo := 0
 	for w := 0; w < nwin; w++ {
@@ -207,25 +264,46 @@ func openLoop(f feeder, rate float64, maxBatch int, dur time.Duration, nwin int)
 	return res
 }
 
-// stable returns the windows that kept up with the offered rate; if
-// every window fell behind it returns them all, and allUnstable flags
-// the phase.
-func (r openResult) stable() (ws []openWindow, allUnstable bool) {
+// stable returns the windows that kept up with the offered rate.
+func (r openResult) stable() []openWindow {
+	var ws []openWindow
 	for _, w := range r.windows {
 		if !w.unstable && w.samples > 0 {
 			ws = append(ws, w)
 		}
 	}
-	if len(ws) == 0 {
-		return r.windows, true
+	return ws
+}
+
+// valid reports an error when no window kept up with the offered rate:
+// the backlog grew throughout, so the latency measured the queue, not
+// the server, and the phase must not be reported.
+func (r openResult) valid() error {
+	if len(r.stable()) == 0 {
+		return fmt.Errorf("open loop at %.0f/s fell behind in all %d windows (backlog at end %d): no latency to report",
+			r.rate, len(r.windows), r.backlog())
 	}
-	return ws, false
+	return nil
+}
+
+// backlog is the items due by the end of the phase but never sent.
+func (r openResult) backlog() int { return r.due - r.sent }
+
+// unstable counts the windows that fell behind the offered rate.
+func (r openResult) unstable() int {
+	n := 0
+	for _, w := range r.windows {
+		if w.unstable {
+			n++
+		}
+	}
+	return n
 }
 
 // p50 returns the median over stable windows of the window median
 // latency, in µs.
 func (r openResult) p50() float64 {
-	ws, _ := r.stable()
+	ws := r.stable()
 	v := make([]float64, len(ws))
 	for i, w := range ws {
 		v[i] = w.p50

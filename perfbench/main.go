@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"time"
 
 	"github.com/pegasus-idp/pegasus/internal/pisa"
@@ -49,16 +50,25 @@ type workload struct {
 	gate   int     // items in the verdict-checked prefix
 }
 
-// A flow fires its first window at its eighth packet, so the packet gate
-// must span several packets per live flow: 65536 packets over 4096 live
-// flows check thousands of fired windows.
+// Flow count and batch size are those of the repository's sustained-load
+// experiment (experiments.ScalingBench: 1<<14 live flows, batches of
+// 8192). Register slots are four times the live flows, so hash
+// collisions between live flows stay rare. The gate prefix is sized from
+// the flow count: 16 items per live flow, so most flows reach their
+// first fired window (at their eighth packet) inside it.
+const (
+	liveFlows  = 1 << 14
+	batchItems = 8192
+	gateItems  = 16 * liveFlows
+)
+
 var workloads = []workload{
 	{name: "pkt-solo-seq", kind: kindSolo, models: []string{"CNN-M"},
-		flows: 1 << 12, slots: 1 << 16, batch: 512, rate: 200e3, gate: 1 << 16},
+		flows: liveFlows, slots: 4 * liveFlows, batch: batchItems, rate: 200e3, gate: gateItems},
 	{name: "pkt-shared3-seq", kind: kindShared, models: []string{"CNN-M", "CNN-B", "RNN-B"},
-		flows: 1 << 12, slots: 1 << 16, batch: 512, rate: 50e3, gate: 1 << 16},
+		flows: liveFlows, slots: 4 * liveFlows, batch: batchItems, rate: 50e3, gate: gateItems},
 	{name: "win-batch-cnnm", kind: kindWindows, models: []string{"CNN-M"},
-		flows: 1 << 12, slots: 1 << 16, batch: 256, rate: 200e3, gate: 1 << 12},
+		flows: liveFlows, slots: 4 * liveFlows, batch: batchItems, rate: 200e3, gate: gateItems},
 }
 
 // setupReps is how many times set-up runs; setup_s is their median.
@@ -161,8 +171,11 @@ func bench(wl *workload, seed int64, dur time.Duration, traced bool, traceDir st
 	fmt.Fprintf(logw, "gate: %d items checked against the reference interpreter, %d mismatched\n", attempted, failed)
 
 	sched := d.srv.Scheduler()
-	stats0 := sched.Stats()
-	closedChunk(f, wl.batch, 300*time.Millisecond, nil) // warm-up, not reported
+	aud := newAuditor(d, wl.kind)
+	aud.mark()
+	warm := closedChunk(f, wl.batch, 300*time.Millisecond, nil) // warm-up, not timed
+	attempted += warm.items
+	failed += max(warm.failed, aud.failed(warm.items))
 
 	const chunkDur = 250 * time.Millisecond
 	closedDur, openDur := dur/2, dur-dur/2
@@ -173,10 +186,12 @@ func bench(wl *workload, seed int64, dur time.Duration, traced bool, traceDir st
 		rec = newRecorder(sched, wl.kind == kindWindows)
 	}
 	for t, i := time.Duration(0), 0; t < closedDur; i++ {
+		aud.mark()
 		if traced && i%2 == 1 {
 			rec.begin()
 			before := rec.prev
 			c := closedChunk(f, wl.batch, chunkDur, rec)
+			c.failed = max(c.failed, aud.failed(c.items))
 			tracedChunks = append(tracedChunks, c)
 			roles = addRoles(roles, rolesOf(wl.kind, before, rec.prev))
 			rec.wall += c.wall
@@ -184,20 +199,22 @@ func bench(wl *workload, seed int64, dur time.Duration, traced bool, traceDir st
 			continue
 		}
 		c := closedChunk(f, wl.batch, chunkDur, nil)
+		c.failed = max(c.failed, aud.failed(c.items))
 		plain = append(plain, c)
 		t += c.wall
 	}
 	nwin := max(1, int(openDur/(500*time.Millisecond)))
+	aud.mark()
 	open := openLoop(f, wl.rate, wl.batch, openDur, nwin)
+	open.failed = max(open.failed, aud.failed(open.sent))
 	fmt.Fprintln(logw, open.describe())
-	total := rolesOf(wl.kind, stats0, sched.Stats())
 
 	for _, c := range append(plain, tracedChunks...) {
 		attempted += c.items
 		failed += c.failed
 	}
 	attempted += open.sent
-	failed += open.failed + int(total.all.Shed)
+	failed += open.failed
 
 	var sum chunk
 	for _, c := range plain {
@@ -208,6 +225,11 @@ func bench(wl *workload, seed int64, dur time.Duration, traced bool, traceDir st
 	mach.CPUShare = sum.cpu.Seconds() / (sum.wall.Seconds() * float64(mach.NProc))
 	mach.StealTicks = sum.steal.steal
 	mach.StealFrac = sum.steal.frac()
+	mach.OpenSamples, mach.OpenUnstable = open.samples, open.unstable()
+	mach.OpenBacklog, mach.OpenLateP99us = open.backlog(), open.lateP99
+	if err := open.valid(); err != nil {
+		return result{}, mach, err
+	}
 
 	res := result{Correct: failed == 0, Attempted: attempted, Failed: failed, Metrics: map[string]metric{}}
 	if !traced {
@@ -260,9 +282,20 @@ func addRoles(a, b sessionTotals) sessionTotals {
 // by the next model in turn, and that model's verdicts are compared.
 func gatePackets(d *deployment, wl *workload, pg *trafficgen.PacketGen) (attempted, bad int, err error) {
 	prefix := pg.Packets(wl.gate)
+	// The models' references are independent: compute them concurrently.
 	refs := make([][]verdict, len(d.zoo))
+	errs := make([]error, len(d.zoo))
+	var wg sync.WaitGroup
 	for i, m := range d.zoo {
-		if refs[i], err = packetReference(m, wl.slots, prefix); err != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			refs[i], errs[i] = packetReference(m, wl.slots, prefix)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
 			return 0, 0, fmt.Errorf("reference %s: %w", wl.models[i], err)
 		}
 	}
@@ -414,16 +447,10 @@ func perLayer(m map[string]metric, wl *workload, setups []setupTimes, plain, tra
 	m["span.trace_stats_frac"] = metric{frac("trace.stats"), "frac"}
 	m["span.loop_self_frac"] = metric{1 - float64(rec.covered())/wall, "frac"}
 
-	unstable := 0
-	for _, w := range open.windows {
-		if w.unstable {
-			unstable++
-		}
-	}
 	m["open.lat_p99_us"] = metric{open.p99, "us"}
 	m["open.late_us_p99"] = metric{open.lateP99, "us"}
-	m["open.backlog_end"] = metric{float64(open.due - open.sent), "count"}
-	m["open.unstable_windows"] = metric{float64(unstable), "count"}
+	m["open.backlog_end"] = metric{float64(open.backlog()), "count"}
+	m["open.unstable_windows"] = metric{float64(open.unstable()), "count"}
 	m["open.samples"] = metric{float64(open.samples), "count"}
 	m["rt.peak_rss_mb"] = metric{peakRSSMB(), "MB"}
 }

@@ -53,10 +53,14 @@ func (d *deployment) Close() {
 	}
 }
 
-// trainModel builds, trains and compiles one model of the zoo.
+// trainModel builds, trains and compiles one model of the zoo. The
+// dataset and the training budgets are those of the experiment suite's
+// default configuration (experiments.Suite.Bundle: PeerRush with 60
+// flows per class of 28 packets; CNN-M 60 epochs, CNN-B 80, RNN-B 60 at
+// learning rate 0.02).
 func trainModel(name string, train []netsim.Flow, k int, st *setupTimes) (seqModel, error) {
 	rng := rand.New(rand.NewSource(trainSeed))
-	opts := models.TrainOpts{Epochs: 20, Seed: trainSeed}
+	opts := models.TrainOpts{Epochs: 60, Seed: trainSeed}
 	t0 := time.Now()
 	var m seqModel
 	var compile func([]netsim.Flow) error
@@ -67,6 +71,7 @@ func trainModel(name string, train []netsim.Flow, k int, st *setupTimes) (seqMod
 		m, compile = f, f.Compile
 	case "CNN-B":
 		f := models.NewCNNB(k, rng)
+		opts.Epochs = 80
 		f.Train(train, opts)
 		m, compile = f, f.Compile
 	case "RNN-B":
@@ -95,7 +100,7 @@ func trainModel(name string, train []netsim.Flow, k int, st *setupTimes) (seqMod
 func deploy(wl *workload, budget int) (*deployment, error) {
 	start := time.Now()
 	d := &deployment{}
-	ds := datasets.PeerRush(datasets.Config{FlowsPerClass: 24, PacketsPerFlow: 28, Seed: trainSeed})
+	ds := datasets.PeerRush(datasets.Config{FlowsPerClass: 60, PacketsPerFlow: 28, Seed: trainSeed})
 	train, _, test := ds.Split(trainSeed)
 	d.test = test
 	for _, name := range wl.models {
