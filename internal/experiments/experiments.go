@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -591,6 +592,8 @@ type EngineBenchReport struct {
 	// window boundaries. Speedup is relative to the 1-worker packet
 	// baseline.
 	PacketPoints []EngineBenchPoint `json:"packet_points,omitempty"`
+	// PacketMachine is the host PacketPoints were measured on.
+	PacketMachine *machineInfo `json:"packet_machine,omitempty"`
 	// TracePackets is the raw trace length behind PacketPoints.
 	TracePackets int `json:"trace_packets,omitempty"`
 	// MultiModelPoints measures concurrent multi-model serving: every
@@ -632,6 +635,32 @@ type EngineBenchReport struct {
 	// served to ALL N models per second; RMWsPerPacket is the register
 	// read-modify-writes each trace packet costs across every session.
 	SharedExtractionPoints []SharedExtractionPoint `json:"shared_extraction_points,omitempty"`
+	// SharedExtractionMachine is the host SharedExtractionPoints were
+	// measured on.
+	SharedExtractionMachine *machineInfo `json:"shared_extraction_machine,omitempty"`
+}
+
+// machineInfo records the host a series was measured on: a worker-count
+// axis means nothing without the cores behind it.
+type machineInfo struct {
+	NProc      int    `json:"nproc"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu_model"`
+}
+
+// hostMachine describes the current host; the CPU model comes from
+// /proc/cpuinfo where it exists.
+func hostMachine() *machineInfo {
+	m := &machineInfo{NProc: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0), CPU: "unknown"}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				m.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return m
 }
 
 // SharedExtractionPoint is one (co-resident model count, sharing mode)
@@ -818,6 +847,7 @@ func (s *Suite) EngineBench(w io.Writer) error {
 			return eng
 		},
 		func(e *pisa.Engine) { e.RunPackets(pjobs) })
+	rep.PacketMachine = hostMachine()
 	if s.Cfg.EngineJSON != "" {
 		data, err := json.MarshalIndent(&rep, "", "  ")
 		if err != nil {
@@ -1126,6 +1156,7 @@ func (s *Suite) SharedExtractionBench(w io.Writer) error {
 			_ = json.Unmarshal(data, &full)
 		}
 		full.SharedExtractionPoints = rep.SharedExtractionPoints
+		full.SharedExtractionMachine = hostMachine()
 		data, err := json.MarshalIndent(&full, "", "  ")
 		if err != nil {
 			return err

@@ -490,6 +490,30 @@ func (cp *CompiledProgram) Process(phv *PHV) {
 	}
 }
 
+// runUnits runs units [from, to) of the plan on phv: a prefix and its
+// suffix together are exactly Process.
+func (cp *CompiledProgram) runUnits(phv *PHV, from, to int) {
+	for _, f := range cp.procs[from:to] {
+		f(phv)
+	}
+}
+
+// lastEffect returns the index of the plan's last unit that runs a
+// register op or writes field fire (pass -1 to ignore fire writes); -1
+// when no unit does. Every later unit only computes PHV fields from
+// fire-final state — the packet path's fire point.
+func (cp *CompiledProgram) lastEffect(fire FieldID) int {
+	for i := len(cp.units) - 1; i >= 0; i-- {
+		for k := range cp.units[i].action {
+			op := &cp.units[i].action[k]
+			if op.regAccess() >= 0 || (op.writesDst() && op.Dst == fire) {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
 // foldAlwaysData rewrites an always-run unit's data-bus ops into
 // immediates: the unit fires with exactly defData on every packet, so
 // OpSetData i is OpSet defData[i] and OpAddData i a saturating

@@ -124,9 +124,11 @@ type Engine struct {
 	// sheds, fires, depth samples). Folded together by Stats.
 	stats []statShard
 
-	// Per-packet replay state (ConfigurePackets).
-	meta     *PacketMeta
-	skipTail bool // later pipes are stateless: skip them on non-fire packets
+	// Per-packet replay state (ConfigurePackets). The compiled chain's
+	// fire point: every packet runs the pipes before plans[firePipe]
+	// and its units [0, fireEnd); the rest runs only on firing packets.
+	meta              *PacketMeta
+	firePipe, fireEnd int
 }
 
 // shardRes is one shard's dense fire staging for the per-packet path:
@@ -765,15 +767,20 @@ func (e *Engine) RunStream(in <-chan Job, out chan<- Result) int {
 func (e *Engine) ConfigurePackets(meta PacketMeta) {
 	m := meta
 	e.meta = &m
-	// When every later pipe is stateless (the emitted shape: extraction
-	// registers live in pipe 0 only), non-firing packets need not run
-	// the downstream inference chain at all — Window−1 of every Window
-	// packets skip it. A stateful later pipe forces the full chain so
-	// its registers still see every packet.
-	e.skipTail = true
-	for _, p := range e.progs[1:] {
-		if len(p.Registers) > 0 {
-			e.skipTail = false
+	// The fire point is the chain's last unit that runs a register op
+	// or, in pipe 0, writes Fire. Everything after it touches no
+	// register and cannot change fire, so a non-firing packet — Window−1
+	// of every Window — skips the classifier tables it would discard:
+	// fires, results and RMWs are unchanged. The interpreter keeps
+	// running the whole chain, so the oracle does not share the skip.
+	e.firePipe, e.fireEnd = 0, 0
+	for k := len(e.plans) - 1; k >= 0; k-- {
+		fire := FieldID(-1) // Fire lives in pipe 0's layout only
+		if k == 0 {
+			fire = m.Fire
+		}
+		if u := e.plans[k].lastEffect(fire); u >= 0 {
+			e.firePipe, e.fireEnd = k, u+1
 			break
 		}
 	}
@@ -898,7 +905,8 @@ func (e *Engine) RunPacketStream(in <-chan PacketIn, out chan<- PacketResult) (p
 
 // runPacketShard replays the given packet indices in order on shard s's
 // PHVs, appending an inference record to the shard's private fire
-// staging for every packet whose fire field is raised by pipe 0.
+// staging for every packet whose fire field is raised by pipe 0. The
+// compiled chain stops at the fire point on non-firing packets.
 func (e *Engine) runPacketShard(s int, pkts []PacketIn, idx []int) {
 	phvs := e.phvs[s]
 	sr := &e.shardRes[s]
@@ -912,30 +920,32 @@ func (e *Engine) runPacketShard(s int, pkts []PacketIn, idx []int) {
 		for d, f := range meta.Fields {
 			phv.Set(f, pkts[i].Fields[d])
 		}
-		if interp {
-			e.progs[0].Process(phv)
-		} else {
-			e.plans[0].Process(phv)
-		}
-		fire := phv.Get(meta.Fire) != 0
-		if !fire && e.skipTail {
-			continue
-		}
-		for k := 1; k < len(e.progs); k++ {
-			next := phvs[k]
-			next.Reset()
-			br := &e.bridges[k-1]
-			for b, from := range br.From {
-				next.Set(br.To[b], phv.Get(from))
+	chain:
+		for k := range e.progs {
+			if k > 0 {
+				next := phvs[k]
+				next.Reset()
+				br := &e.bridges[k-1]
+				for b, from := range br.From {
+					next.Set(br.To[b], phv.Get(from))
+				}
+				phv = next
 			}
-			if interp {
-				e.progs[k].Process(next)
-			} else {
-				e.plans[k].Process(next)
+			switch {
+			case interp:
+				e.progs[k].Process(phv)
+			case k != e.firePipe:
+				e.plans[k].Process(phv)
+			default:
+				plan := e.plans[k]
+				plan.runUnits(phv, 0, e.fireEnd)
+				if phvs[0].Get(meta.Fire) == 0 {
+					break chain
+				}
+				plan.runUnits(phv, e.fireEnd, len(plan.procs))
 			}
-			phv = next
 		}
-		if !fire {
+		if phvs[0].Get(meta.Fire) == 0 {
 			continue
 		}
 		sr.fireIdx = append(sr.fireIdx, int32(i))
